@@ -16,11 +16,9 @@
 //! set p0 to 0.75: +0 / -13 verdicts, 71 pairs examined, 305µs
 //! ```
 //!
-//! The parser ([`command`]) and executor ([`app`]) are stdout-free library
-//! code; the binary is a thin loop.
+//! Commands parse with the shared grammar ([`em_core::command`]) and run
+//! through [`app`], stdout-free library code; the binary is a thin loop.
 
 pub mod app;
-pub mod command;
 
 pub use app::{App, AppError};
-pub use command::{parse, Command};

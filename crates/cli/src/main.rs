@@ -2,7 +2,8 @@
 //! `serve` / `connect` network modes.
 
 use em_blocking::Blocker;
-use em_cli::{parse, App};
+use em_cli::App;
+use em_core::command::parse;
 use em_core::{DebugSession, SessionConfig, SessionStore};
 use em_datagen::Domain;
 use em_server::{serve, Client, ServerConfig, SessionTemplate};
@@ -70,8 +71,8 @@ it applies, `save` folds the journal into a fresh snapshot, and starting
 with the same --store recovers the session (snapshot + journal replay),
 printing a recovery report.
 
---porcelain renders edits and history as one-line JSON records (the same
-shapes the server's wire protocol speaks) for scripted use.";
+--porcelain prints every session verb's output as the JSON records the
+server's wire protocol sends, for scripted use.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,6 +89,9 @@ fn main() {
 }
 
 fn repl_main(args: &[String]) -> Result<(), String> {
+    // Register the core metric families up front rather than on the
+    // first evaluation, as `serve` does.
+    em_core::obs::core_metrics();
     let mut app = build_app(args)?;
     if args.iter().any(|a| a == "--porcelain") {
         app.set_porcelain(true);

@@ -1,11 +1,18 @@
-//! Golden test for the static analyzer's two front ends: one ruleset
-//! exhibiting every diagnostic kind, linted through the CLI's
-//! `--porcelain` output and through the server's wire protocol. The
-//! findings must be deterministic, severity-ordered, and byte-identical
-//! across the two surfaces.
+//! Cross-surface goldens: the CLI's `--porcelain` output and the
+//! server's wire payloads come from one executor and one renderer, so
+//! they must agree byte for byte.
+//!
+//! * One ruleset exhibiting every diagnostic kind, linted through both
+//!   surfaces: the findings must be deterministic, severity-ordered, and
+//!   identical, `lint_report` header included.
+//! * One scripted session over the products demo: every served verb
+//!   whose output does not measure time or describe the store must
+//!   render identically, with only `elapsed_us` masked.
 
-use em_cli::{parse, App};
+use em_cli::App;
+use em_core::command::parse;
 use em_core::{DebugSession, LintLine, SessionConfig};
+use em_datagen::Domain;
 use em_server::{serve, Client, ServerConfig, SessionTemplate};
 use em_similarity::{JoinGuarantee, Measure};
 use em_types::{CandidateSet, Record, Schema, Table};
@@ -167,8 +174,8 @@ fn exec(app: &mut App, line: &str) -> String {
 }
 
 /// Runs the golden ruleset through the CLI's porcelain surface and
-/// returns the `lint` output lines.
-fn cli_lint_lines() -> Vec<String> {
+/// returns the `lint` payload.
+fn cli_lint_payload() -> String {
     let (a, b) = tables();
     let cands = CandidateSet::cartesian(&a, &b);
     let mut session = DebugSession::new(a, b, cands, SessionConfig::default());
@@ -181,20 +188,24 @@ fn cli_lint_lines() -> Vec<String> {
     let out = exec(&mut app, "lint");
     // Deterministic: a second run renders byte-identically.
     assert_eq!(out, exec(&mut app, "lint"), "lint must be deterministic");
-    out.lines().map(String::from).collect()
+    out
 }
 
 #[test]
 fn every_diagnostic_kind_matches_the_golden_sequence_on_both_surfaces() {
-    let cli_lines = cli_lint_lines();
-    let lints: Vec<LintLine> = cli_lines
-        .iter()
-        .map(|l| LintLine::from_json(l).unwrap())
-        .collect();
+    let cli = cli_lint_payload();
+    let mut lines = cli.lines();
+    let header = lines.next().unwrap();
+    assert!(header.contains("\"event\":\"lint_report\""), "{header}");
+    assert!(header.contains("\"total\":7"), "{header}");
+    assert!(header.contains("\"errors\":1"), "{header}");
+    assert!(header.contains("\"warnings\":5"), "{header}");
+    assert!(header.contains("\"infos\":1"), "{header}");
+    let lints: Vec<LintLine> = lines.map(|l| LintLine::from_json(l).unwrap()).collect();
     assert_golden(&lints);
 
-    // Same ruleset over the wire: the server's `lint` rows must be
-    // byte-identical to the CLI's porcelain lines.
+    // Same ruleset over the wire: the server's `lint` payload, header
+    // included, must be byte-identical to the CLI's porcelain.
     let (a, b) = tables();
     let cands = CandidateSet::cartesian(&a, &b);
     let template = SessionTemplate::new(a, b, cands, Vec::new(), SessionConfig::default())
@@ -205,16 +216,66 @@ fn every_diagnostic_kind_matches_the_golden_sequence_on_both_surfaces() {
     for line in RULESET {
         c.expect_ok(line).unwrap();
     }
-    let payload = c.expect_ok("lint").unwrap();
-    let mut lines = payload.lines();
-    let header = lines.next().unwrap();
-    assert!(header.contains("\"event\":\"lint_report\""), "{header}");
-    assert!(header.contains("\"total\":7"), "{header}");
-    assert!(header.contains("\"errors\":1"), "{header}");
-    assert!(header.contains("\"warnings\":5"), "{header}");
-    assert!(header.contains("\"infos\":1"), "{header}");
-    let wire_lines: Vec<String> = lines.map(String::from).collect();
-    assert_eq!(wire_lines, cli_lines, "wire and CLI lint must agree");
+    let wire = c.expect_ok("lint").unwrap();
+    assert_eq!(wire, cli, "wire and CLI lint must agree");
+    handle.shutdown();
+}
+
+/// The scripted demo session: edits, then every served verb whose
+/// payload is deterministic on both surfaces. `stats` (measured costs)
+/// and `status` (the wire's adds server context) are left out.
+const DEMO_SCRIPT: &[&str] = &[
+    "add jaccard_ws(title, title) >= 0.6",
+    "add jaccard_ws(title, title) >= 0.9",
+    "addpred r0 exact(brand, brand) >= 1",
+    "rmpred p2",
+    "set p0 0.7",
+    "rules",
+    "matches 5",
+    "misses f0 5",
+    "features",
+    "quality",
+    "memory",
+    "history",
+    "lint",
+    "explain 0",
+    "simplify",
+    "undo",
+    "run",
+    "optimize",
+];
+
+/// Replaces every `"elapsed_us":<n>` value by 0 — the one field that
+/// measures wall time.
+fn mask_elapsed(payload: &str) -> String {
+    let key = "\"elapsed_us\":";
+    let mut out = String::new();
+    let mut rest = payload;
+    while let Some(at) = rest.find(key) {
+        out.push_str(&rest[..at + key.len()]);
+        out.push('0');
+        rest = rest[at + key.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn demo_session_porcelain_matches_the_wire_byte_for_byte() {
+    let mut app = App::demo(Domain::Products, 0.01, 7, SessionConfig::default()).unwrap();
+    app.set_porcelain(true);
+    let template =
+        SessionTemplate::demo(Domain::Products, 0.01, 7, SessionConfig::default()).unwrap();
+    let handle = serve(template, ServerConfig::default()).unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    c.expect_ok("open demo").unwrap();
+    for line in DEMO_SCRIPT {
+        let cli = mask_elapsed(&exec(&mut app, line));
+        let wire = mask_elapsed(&c.expect_ok(line).unwrap());
+        assert_eq!(cli, wire, "`{line}`: CLI porcelain and wire payload differ");
+        assert!(cli.starts_with("{\"event\":\""), "`{line}`: {cli}");
+    }
+    handle.shutdown();
 }
 
 /// Repeatedly applying every safe fix-it reaches a clean fixpoint

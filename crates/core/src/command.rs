@@ -1,15 +1,30 @@
 //! The textual command grammar shared by the CLI REPL and the server's
-//! wire protocol.
+//! wire protocol, and its one executor.
 //!
-//! Kept separate from execution so the parser is a pure, exhaustively
-//! testable function — and kept in `em-core` so the two front ends
-//! (`em-cli`'s REPL and `em-server`'s line protocol) cannot drift: both
-//! parse exactly this grammar.
+//! Both front ends (`em-cli`'s REPL and `em-server`'s line protocol)
+//! parse exactly this grammar and run every session verb through
+//! [`execute`], which returns a typed [`Outcome`]. Each front end only
+//! renders it: the wire and the CLI's `--porcelain` mode through
+//! [`crate::porcelain::render`], the REPL through its human renderer.
+//! The verbs that touch the caller's own filesystem or connection
+//! (`save <path>`, `load`, `export`, `import`, `open`, `quit`) stay with
+//! the front ends.
 
+use crate::analyze::{new_diagnostics, Diagnostic};
+use crate::engine::EvalStats;
+use crate::explain::Explanation;
 use crate::feature::FeatureId;
+use crate::incremental::ChangeReport;
 use crate::ordering::OrderingAlgo;
+use crate::persist::{PersistError, SessionStore};
 use crate::predicate::PredId;
+use crate::quality::QualityReport;
 use crate::rule::RuleId;
+use crate::session::SessionError;
+use crate::simplify::SimplifyReport;
+use crate::stats::FunctionStats;
+use em_types::LabeledPair;
+use std::time::{Duration, Instant};
 
 /// One parsed REPL command.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,6 +251,283 @@ commands:
   open <dir>            open (recover) a durable session store
   quit                  exit";
 
+impl Command {
+    /// The grammar word this command was parsed from (`"add"`, `"rm"`, …):
+    /// stable and low-cardinality, so the server labels its per-verb
+    /// latency histograms with it.
+    pub fn verb(&self) -> &'static str {
+        self.class().0
+    }
+
+    /// True when the command changes session state (every such change is
+    /// journaled on the leader and shipped to followers), so a read-only
+    /// replica or a degraded store must refuse it. Queries that only warm
+    /// caches (`stats`, `misses`) do not count: the memo and cost cache
+    /// are derived state, not part of the replicated timeline.
+    pub fn mutates(&self) -> bool {
+        self.class().1
+    }
+
+    fn class(&self) -> (&'static str, bool) {
+        match self {
+            Command::Help => ("help", false),
+            Command::AddRule(_) => ("add", true),
+            Command::ListRules => ("rules", false),
+            Command::RemoveRule(_) => ("rm", true),
+            Command::AddPredicate(..) => ("addpred", true),
+            Command::RemovePredicate(_) => ("rmpred", true),
+            Command::SetThreshold(..) => ("set", true),
+            Command::Undo => ("undo", true),
+            Command::Resume => ("resume", true),
+            Command::Simplify => ("simplify", true),
+            Command::Lint => ("lint", false),
+            Command::Run => ("run", true),
+            Command::Matches(_) => ("matches", false),
+            Command::Explain(_) => ("explain", false),
+            Command::NearMisses(..) => ("misses", false),
+            Command::Quality => ("quality", false),
+            Command::Stats => ("stats", false),
+            Command::Status => ("status", false),
+            Command::Optimize(_) => ("optimize", true),
+            Command::MemoryReport => ("memory", false),
+            Command::History => ("history", false),
+            Command::Features => ("features", false),
+            Command::Save(_) => ("save", true),
+            Command::Load(_) => ("load", true),
+            Command::Export(_) => ("export", false),
+            Command::Import(_) => ("import", true),
+            Command::Open(_) => ("open", true),
+            Command::Quit => ("quit", false),
+        }
+    }
+}
+
+/// An applied edit, with the ids it minted or targeted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Edit {
+    /// `add`: the new rule.
+    AddRule(RuleId),
+    /// `rm`.
+    RemoveRule(RuleId),
+    /// `addpred`: the rule and the new predicate.
+    AddPredicate(RuleId, PredId),
+    /// `rmpred`.
+    RemovePredicate(PredId),
+    /// `set`: the predicate and its new threshold.
+    SetThreshold(PredId, f64),
+    /// `undo`.
+    Undo,
+    /// `resume`.
+    Resume,
+}
+
+/// What one executed command produced. Verbs that only read the session
+/// (`rules`, `matches`, `status`, …) carry nothing: renderers read the
+/// store they ran against.
+#[derive(Debug)]
+pub enum Outcome {
+    /// `help`.
+    Help,
+    /// An edit applied: which one, its verdict delta, and the lint
+    /// findings it introduced (present after, absent before; `undo` and
+    /// `resume` report none).
+    Edit {
+        edit: Edit,
+        report: ChangeReport,
+        advisories: Vec<Diagnostic>,
+    },
+    /// `undo` or `resume` (the verb) with nothing to do.
+    Noop(&'static str),
+    /// `simplify`.
+    Simplify(SimplifyReport),
+    /// `lint`: every finding, severity-ordered.
+    Lint(Vec<Diagnostic>),
+    /// `run`: evaluation counts and wall time of the journaled re-run.
+    Run(EvalStats, Duration),
+    /// `optimize <algo>`: the algorithm and wall time of reorder + re-run.
+    Optimize(OrderingAlgo, Duration),
+    /// `rules`.
+    Rules,
+    /// `matches <limit>`.
+    Matches(usize),
+    /// `explain <pair>`.
+    Explain(Explanation),
+    /// `misses <feature> <n>`: the feature and the unmatched
+    /// `(pair, value)` rows, closest first.
+    NearMisses(FeatureId, Vec<(usize, f64)>),
+    /// `quality`; `None` when no labels are loaded.
+    Quality(Option<QualityReport>),
+    /// `stats` (now cached on the session); `None` without rules.
+    Stats(Option<FunctionStats>),
+    /// `status`.
+    Status,
+    /// `memory`.
+    Memory,
+    /// `history`.
+    History,
+    /// `features`.
+    Features,
+    /// `save`: the new snapshot epoch.
+    Saved(u64),
+}
+
+/// Why [`execute`] refused or failed a command.
+#[derive(Debug)]
+pub enum CommandError {
+    /// The command's arguments do not fit the session (pair index out of
+    /// range, unknown feature).
+    Usage(String),
+    /// The debugging session rejected the operation.
+    Session(SessionError),
+    /// The durable store failed a `save`.
+    Persist(PersistError),
+    /// A verb the front end runs itself (file paths, `quit`).
+    Local(&'static str),
+}
+
+impl std::fmt::Display for CommandError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CommandError::Usage(m) => write!(f, "{m}"),
+            CommandError::Session(e) => write!(f, "{e}"),
+            CommandError::Persist(e) => write!(f, "{e}"),
+            CommandError::Local(verb) => write!(f, "`{verb}` runs in the front end"),
+        }
+    }
+}
+
+impl std::error::Error for CommandError {}
+
+impl From<SessionError> for CommandError {
+    fn from(e: SessionError) -> Self {
+        CommandError::Session(e)
+    }
+}
+
+impl From<PersistError> for CommandError {
+    fn from(e: PersistError) -> Self {
+        CommandError::Persist(e)
+    }
+}
+
+/// Executes one session command against a store. Edits go through the
+/// store's journaled wrappers, so every change is crash-durable when the
+/// store is; each edit other than `undo`/`resume` also runs the analyzer
+/// before and after and reports the findings it introduced.
+pub fn execute(
+    store: &mut SessionStore,
+    labels: &[LabeledPair],
+    cmd: &Command,
+) -> Result<Outcome, CommandError> {
+    Ok(match cmd {
+        Command::Help => Outcome::Help,
+        Command::AddRule(text) => edit(store, |s| {
+            let (rid, report) = s.add_rule_text(text)?;
+            Ok((Edit::AddRule(rid), report))
+        })?,
+        Command::RemoveRule(rid) => edit(store, |s| {
+            Ok((Edit::RemoveRule(*rid), s.remove_rule(*rid)?))
+        })?,
+        Command::AddPredicate(rid, text) => edit(store, |s| {
+            let pred = s.parse_predicate(text)?;
+            let (pid, report) = s.add_predicate(*rid, pred)?;
+            Ok((Edit::AddPredicate(*rid, pid), report))
+        })?,
+        Command::RemovePredicate(pid) => edit(store, |s| {
+            Ok((Edit::RemovePredicate(*pid), s.remove_predicate(*pid)?))
+        })?,
+        Command::SetThreshold(pid, t) => edit(store, |s| {
+            Ok((Edit::SetThreshold(*pid, *t), s.set_threshold(*pid, *t)?))
+        })?,
+        Command::Undo => match store.undo()? {
+            Some(report) => Outcome::Edit {
+                edit: Edit::Undo,
+                report,
+                advisories: Vec::new(),
+            },
+            None => Outcome::Noop("undo"),
+        },
+        Command::Resume => match store.resume()? {
+            Some(report) => Outcome::Edit {
+                edit: Edit::Resume,
+                report,
+                advisories: Vec::new(),
+            },
+            None => Outcome::Noop("resume"),
+        },
+        Command::Simplify => Outcome::Simplify(store.simplify()?),
+        Command::Lint => Outcome::Lint(store.session().analyze()),
+        Command::Run => {
+            let start = Instant::now();
+            let stats = store.run_full()?;
+            Outcome::Run(stats, start.elapsed())
+        }
+        Command::Optimize(algo) => {
+            let start = Instant::now();
+            store.optimize(*algo)?;
+            Outcome::Optimize(*algo, start.elapsed())
+        }
+        Command::ListRules => Outcome::Rules,
+        Command::Matches(limit) => Outcome::Matches(*limit),
+        Command::Explain(i) => {
+            let n = store.session().candidates().len();
+            if *i >= n {
+                return Err(CommandError::Usage(format!(
+                    "pair index {i} out of range (0..{n})"
+                )));
+            }
+            Outcome::Explain(store.session().explain(*i))
+        }
+        Command::NearMisses(fid, n) => {
+            if fid.index() >= store.session().context().registry().len() {
+                return Err(CommandError::Usage(format!(
+                    "unknown feature {fid}; see `features`"
+                )));
+            }
+            Outcome::NearMisses(*fid, store.session_mut().near_misses(*fid, *n))
+        }
+        Command::Quality => {
+            Outcome::Quality((!labels.is_empty()).then(|| store.session().quality(labels)))
+        }
+        // Caching the sampled stats on the session makes later `explain`
+        // output carry per-predicate cost annotations.
+        Command::Stats => Outcome::Stats(
+            (!store.session().function().is_empty()).then(|| store.session_mut().refresh_stats()),
+        ),
+        Command::Status => Outcome::Status,
+        Command::MemoryReport => Outcome::Memory,
+        Command::History => Outcome::History,
+        Command::Features => Outcome::Features,
+        Command::Save(None) => Outcome::Saved(store.save()?),
+        Command::Save(Some(_))
+        | Command::Load(_)
+        | Command::Export(_)
+        | Command::Import(_)
+        | Command::Open(_)
+        | Command::Quit => return Err(CommandError::Local(cmd.verb())),
+    })
+}
+
+/// Applies one edit and diffs the analyzer's findings around it — the
+/// one place edit advisories are computed.
+fn edit(
+    store: &mut SessionStore,
+    apply: impl FnOnce(&mut SessionStore) -> Result<(Edit, ChangeReport), SessionError>,
+) -> Result<Outcome, CommandError> {
+    let before = store.session().analyze();
+    let (edit, report) = apply(store)?;
+    let after = store.session().analyze();
+    let advisories = new_diagnostics(&before, &after)
+        .into_iter()
+        .cloned()
+        .collect();
+    Ok(Outcome::Edit {
+        edit,
+        report,
+        advisories,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,5 +639,88 @@ mod tests {
     fn case_insensitive_keywords() {
         assert_eq!(parse("RUN").unwrap(), Some(Command::Run));
         assert_eq!(parse("Matches 3").unwrap(), Some(Command::Matches(3)));
+    }
+
+    #[test]
+    fn verb_is_the_grammar_word() {
+        for line in [
+            "help",
+            "add x",
+            "rules",
+            "rm r1",
+            "addpred r1 x",
+            "rmpred p1",
+            "set p1 0.5",
+            "undo",
+            "resume",
+            "simplify",
+            "lint",
+            "run",
+            "matches",
+            "explain 1",
+            "misses f1",
+            "quality",
+            "stats",
+            "status",
+            "optimize",
+            "memory",
+            "history",
+            "features",
+            "save",
+            "load x",
+            "export x",
+            "import x",
+            "open x",
+            "quit",
+        ] {
+            let cmd = parse(line).unwrap().unwrap();
+            assert_eq!(Some(cmd.verb()), line.split_whitespace().next(), "{line}");
+        }
+    }
+
+    #[test]
+    fn execute_reports_introduced_findings_and_leaves_local_verbs_alone() {
+        use crate::session::{DebugSession, SessionConfig};
+        use em_types::{CandidateSet, Record, Schema, Table};
+        let schema = Schema::new(["name"]);
+        let mut a = Table::new("A", schema.clone());
+        a.push(Record::new("a1", ["apple ipod nano"]));
+        let mut b = Table::new("B", schema);
+        b.push(Record::new("b1", ["apple ipod"]));
+        let cands = CandidateSet::cartesian(&a, &b);
+        let session = DebugSession::new(a, b, cands, SessionConfig::default());
+        let mut store = SessionStore::ephemeral(session);
+        let mut run = |line: &str| execute(&mut store, &[], &parse(line).unwrap().unwrap());
+
+        let Ok(Outcome::Edit { advisories, .. }) = run("add jaccard_ws(name, name) >= 0.5") else {
+            panic!("add applies");
+        };
+        assert!(advisories.is_empty(), "{advisories:?}");
+        let Ok(Outcome::Edit {
+            edit, advisories, ..
+        }) = run("add jaccard_ws(name, name) >= 0.5")
+        else {
+            panic!("add applies");
+        };
+        assert_eq!(edit, Edit::AddRule(RuleId(1)));
+        let kinds: Vec<&str> = advisories.iter().map(|d| d.kind.label()).collect();
+        assert_eq!(kinds, ["duplicate_rule"]);
+        // The finding is not new to the next edit.
+        let Ok(Outcome::Edit { advisories, .. }) = run("add exact(name, name) >= 1") else {
+            panic!("add applies");
+        };
+        assert!(advisories.is_empty(), "{advisories:?}");
+        assert!(matches!(run("lint"), Ok(Outcome::Lint(d)) if d.len() == 1));
+        assert!(matches!(run("explain 1"), Err(CommandError::Usage(_))));
+        for (line, verb) in [
+            ("export x.json", "export"),
+            ("open d", "open"),
+            ("quit", "quit"),
+        ] {
+            assert!(
+                matches!(run(line), Err(CommandError::Local(v)) if v == verb),
+                "{line}"
+            );
+        }
     }
 }

@@ -4,6 +4,7 @@
 //! one human-readable `err` frame, and the connection (and every other
 //! connection) keeps running.
 
+use em_core::command::CommandError;
 use em_core::{PersistError, SessionError};
 use std::fmt;
 
@@ -137,6 +138,17 @@ impl std::error::Error for ServerError {
 impl From<SessionError> for ServerError {
     fn from(e: SessionError) -> Self {
         ServerError::Session(e)
+    }
+}
+
+impl From<CommandError> for ServerError {
+    fn from(e: CommandError) -> Self {
+        match e {
+            CommandError::Usage(m) => ServerError::BadRequest(m),
+            CommandError::Session(e) => ServerError::Session(e),
+            CommandError::Persist(e) => ServerError::Persist(e),
+            local @ CommandError::Local(_) => ServerError::Unsupported(local.to_string()),
+        }
     }
 }
 

@@ -1,198 +1,21 @@
-//! Command execution over the wire: every grammar command rendered as
-//! machine-readable porcelain.
-//!
-//! Where the CLI's `App` renders human-facing prose, the server renders
-//! every success as JSON — one record per line (JSONL for listings) using
-//! the shared [`em_core::porcelain`] shapes for edits and history, plus a
-//! few server-local record types for queries. Scripted clients parse the
-//! `event` field; humans on netcat still get something legible.
+//! Command execution over the wire: the shared executor
+//! ([`em_core::command::execute`]) rendered as porcelain
+//! ([`em_core::porcelain::render`]), plus the server's own records.
 //!
 //! File-path commands (`save <path>`, `load`, `export`, `import`, REPL
 //! `open <dir>`) are refused: the server's filesystem is not the
 //! client's, and durable state is managed per-session by the
-//! [`crate::manager::SessionManager`].
+//! [`crate::manager::SessionManager`]. `quit` is answered by the
+//! connection loop.
 
 use crate::error::ServerError;
-use em_core::command::{Command, HELP};
-use em_core::{ChangeLine, Diagnostic, HistoryLine, LintLine, SessionStore};
+use em_core::command::{self, Command};
+use em_core::porcelain::{jsonl, render};
+use em_core::SessionStore;
 use em_types::LabeledPair;
 
-/// A free-form text payload (help, explain, stats — outputs whose shape
-/// is inherently prose).
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct TextLine {
-    /// Always `"text"`.
-    pub event: String,
-    /// The prose (may contain newlines).
-    pub text: String,
-}
-
-fn text(s: impl Into<String>) -> String {
-    serde_json::to_string(&TextLine {
-        event: "text".to_string(),
-        text: s.into(),
-    })
-    .expect("TextLine serializes infallibly")
-}
-
-/// An edit verb that had nothing to do (`undo` with empty stack, `resume`
-/// with nothing parked).
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct NoopLine {
-    /// Always `"noop"`.
-    pub event: String,
-    /// The verb that no-opped.
-    pub op: String,
-}
-
-/// Outcome of a journaled full re-run.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct RunLine {
-    /// Always `"run"`.
-    pub event: String,
-    /// Match count after the run.
-    pub matches: usize,
-    /// Similarity values computed from scratch.
-    pub feature_computations: u64,
-    /// Similarity values read from the memo.
-    pub memo_lookups: u64,
-    /// Pairs under panic quarantine after the run.
-    pub quarantined: usize,
-}
-
-/// Outcome of `simplify`.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct SimplifyLine {
-    /// Always `"simplify"`.
-    pub event: String,
-    /// Dominated predicates removed.
-    pub dominated: usize,
-    /// Unsatisfiable rules removed.
-    pub unsatisfiable: usize,
-    /// Subsumed rules removed.
-    pub subsumed: usize,
-    /// Rules remaining after simplification.
-    pub rules: usize,
-}
-
-/// Outcome of `optimize <algo>`.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct OptimizeLine {
-    /// Always `"optimize"`.
-    pub event: String,
-    /// The ordering algorithm applied.
-    pub algo: String,
-    /// Match count after the re-run (unchanged by construction).
-    pub matches: usize,
-}
-
-/// Precision/recall against the loaded labels.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct QualityLine {
-    /// Always `"quality"`.
-    pub event: String,
-    /// Precision in `[0, 1]`.
-    pub precision: f64,
-    /// Recall in `[0, 1]`.
-    pub recall: f64,
-    /// F1 in `[0, 1]`.
-    pub f1: f64,
-    /// Confusion-matrix counts.
-    pub true_positives: usize,
-    /// Pairs matched but labeled non-match.
-    pub false_positives: usize,
-    /// Pairs labeled match but unmatched.
-    pub false_negatives: usize,
-    /// Pairs correctly unmatched.
-    pub true_negatives: usize,
-}
-
-/// Memory footprint of the session's derived state.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct MemoryLine {
-    /// Always `"memory"`.
-    pub event: String,
-    /// Feature memo bytes.
-    pub memo_bytes: usize,
-    /// Values stored in the memo.
-    pub memo_values: usize,
-    /// Rule/predicate bitmap bytes.
-    pub bitmap_bytes: usize,
-    /// Total derived-state bytes.
-    pub total_bytes: usize,
-}
-
-/// Header for a `matches <n>` listing (followed by [`MatchLine`]s).
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct MatchesLine {
-    /// Always `"matches"`.
-    pub event: String,
-    /// Total match count (listing shows at most the requested limit).
-    pub total: usize,
-    /// How many [`MatchLine`] records follow.
-    pub shown: usize,
-}
-
-/// One matched pair.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct MatchLine {
-    /// Always `"match"`.
-    pub event: String,
-    /// Candidate pair index.
-    pub pair: usize,
-    /// Rule that fired (e.g. `"r2"`), when known.
-    pub rule: Option<String>,
-    /// Left record id.
-    pub a: String,
-    /// Right record id.
-    pub b: String,
-}
-
-/// One near-miss pair from `misses <feature> <n>`.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct MissLine {
-    /// Always `"miss"`.
-    pub event: String,
-    /// Candidate pair index.
-    pub pair: usize,
-    /// The feature's similarity value for this pair.
-    pub value: f64,
-    /// Left record id.
-    pub a: String,
-    /// Right record id.
-    pub b: String,
-}
-
-/// One rule in a `rules` listing.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct RuleLine {
-    /// Always `"rule"`.
-    pub event: String,
-    /// Rule id (e.g. `"r0"`).
-    pub id: String,
-    /// The rule in the rule language.
-    pub text: String,
-}
-
-/// One interned feature in a `features` listing.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct FeatureLine {
-    /// Always `"feature"`.
-    pub event: String,
-    /// Feature id (e.g. `"f0"`).
-    pub id: String,
-    /// Feature name (e.g. `"jaccard_ws(title, title)"`).
-    pub name: String,
-}
-
-/// Outcome of a `save` (snapshot compaction).
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct SavedLine {
-    /// Always `"saved"`.
-    pub event: String,
-    /// The new snapshot epoch.
-    pub epoch: u64,
-}
+// Listing records wire clients parse, kept at their former path.
+pub use em_core::porcelain::{MatchLine, MatchesLine, RuleLine};
 
 /// One session's row in a `sessions` listing (built by the manager,
 /// serialized here).
@@ -275,71 +98,9 @@ pub fn status_json(line: StatusLine) -> String {
     serde_json::to_string(&line).expect("StatusLine serializes infallibly")
 }
 
-/// True when `cmd` changes session state (every such change is journaled
-/// on the leader and shipped to followers) — a read-only replica must
-/// refuse it with `read_only` rather than fork its own timeline. Queries
-/// that only warm caches (`stats`, `misses`) stay allowed: the memo and
-/// cost cache are derived state, not part of the replicated timeline.
+/// True when `cmd` changes session state; see [`Command::mutates`].
 pub fn mutates(cmd: &Command) -> bool {
-    match cmd {
-        Command::AddRule(_)
-        | Command::RemoveRule(_)
-        | Command::AddPredicate(..)
-        | Command::RemovePredicate(_)
-        | Command::SetThreshold(..)
-        | Command::Undo
-        | Command::Resume
-        | Command::Simplify
-        | Command::Run
-        | Command::Optimize(_)
-        | Command::Save(_)
-        | Command::Load(_)
-        | Command::Import(_)
-        | Command::Open(_) => true,
-        Command::Help
-        | Command::ListRules
-        | Command::Lint
-        | Command::Status
-        | Command::Matches(_)
-        | Command::Explain(_)
-        | Command::NearMisses(..)
-        | Command::Quality
-        | Command::Stats
-        | Command::MemoryReport
-        | Command::History
-        | Command::Features
-        | Command::Export(_)
-        | Command::Quit => false,
-    }
-}
-
-fn ids_of(store: &SessionStore, pair: usize) -> (String, String) {
-    let session = store.session();
-    let p = session.candidates().pair(pair);
-    let a = session.context().table_a().record(p.a).id().to_string();
-    let b = session.context().table_b().record(p.b).id().to_string();
-    (a, b)
-}
-
-fn jsonl<T: serde::Serialize>(header: String, rows: impl IntoIterator<Item = T>) -> String {
-    let mut out = header;
-    for row in rows {
-        out.push('\n');
-        out.push_str(&serde_json::to_string(&row).expect("row serializes"));
-    }
-    out
-}
-
-/// Appends one [`LintLine`] per diagnostic the edit *introduced* (present
-/// after, absent before) to the edit's porcelain payload, mirroring the
-/// CLI's advisory behavior so wire clients see regressions immediately.
-fn with_lint_advisories(store: &SessionStore, before: &[Diagnostic], mut out: String) -> String {
-    let after = store.session().analyze();
-    for d in em_core::new_diagnostics(before, &after) {
-        out.push('\n');
-        out.push_str(&LintLine::new(d).to_json());
-    }
-    out
+    cmd.mutates()
 }
 
 /// Executes one grammar command against a session store, returning the
@@ -350,373 +111,22 @@ pub fn execute(
     labels: &[LabeledPair],
     cmd: &Command,
 ) -> Result<String, ServerError> {
-    match cmd {
-        Command::Help => Ok(text(HELP)),
-        Command::AddRule(rule_text) => {
-            let before = store.session().analyze();
-            let (rid, report) = store.add_rule_text(rule_text)?;
-            let out = ChangeLine::new("add_rule", Some(rid), None, &report).to_json();
-            Ok(with_lint_advisories(store, &before, out))
-        }
-        Command::RemoveRule(rid) => {
-            let before = store.session().analyze();
-            let report = store.remove_rule(*rid)?;
-            let out = ChangeLine::new("remove_rule", Some(*rid), None, &report).to_json();
-            Ok(with_lint_advisories(store, &before, out))
-        }
-        Command::AddPredicate(rid, pred_text) => {
-            let before = store.session().analyze();
-            let pred = store.parse_predicate(pred_text)?;
-            let (pid, report) = store.add_predicate(*rid, pred)?;
-            let out = ChangeLine::new("add_predicate", Some(*rid), Some(pid), &report).to_json();
-            Ok(with_lint_advisories(store, &before, out))
-        }
-        Command::RemovePredicate(pid) => {
-            let before = store.session().analyze();
-            let report = store.remove_predicate(*pid)?;
-            let out = ChangeLine::new("remove_predicate", None, Some(*pid), &report).to_json();
-            Ok(with_lint_advisories(store, &before, out))
-        }
-        Command::SetThreshold(pid, threshold) => {
-            let before = store.session().analyze();
-            let report = store.set_threshold(*pid, *threshold)?;
-            let out = ChangeLine::new("set_threshold", None, Some(*pid), &report).to_json();
-            Ok(with_lint_advisories(store, &before, out))
-        }
-        Command::Undo => match store.undo()? {
-            None => Ok(serde_json::to_string(&NoopLine {
-                event: "noop".to_string(),
-                op: "undo".to_string(),
-            })
-            .expect("NoopLine serializes")),
-            Some(report) => Ok(ChangeLine::new("undo", None, None, &report).to_json()),
-        },
-        Command::Resume => match store.resume()? {
-            None => Ok(serde_json::to_string(&NoopLine {
-                event: "noop".to_string(),
-                op: "resume".to_string(),
-            })
-            .expect("NoopLine serializes")),
-            Some(report) => Ok(ChangeLine::new("resume", None, None, &report).to_json()),
-        },
-        Command::Run => {
-            let stats = store.run_full()?;
-            Ok(serde_json::to_string(&RunLine {
-                event: "run".to_string(),
-                matches: store.session().n_matches(),
-                feature_computations: stats.feature_computations,
-                memo_lookups: stats.memo_lookups,
-                quarantined: store.session().quarantined().len(),
-            })
-            .expect("RunLine serializes"))
-        }
-        Command::Lint => {
-            let diags = store.session().analyze();
-            #[derive(serde::Serialize)]
-            struct Header {
-                event: String,
-                total: usize,
-                errors: usize,
-                warnings: usize,
-                infos: usize,
-            }
-            use em_core::Severity;
-            let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
-            let header = serde_json::to_string(&Header {
-                event: "lint_report".to_string(),
-                total: diags.len(),
-                errors: count(Severity::Error),
-                warnings: count(Severity::Warning),
-                infos: count(Severity::Info),
-            })
-            .expect("header serializes");
-            let rows: Vec<LintLine> = diags.iter().map(LintLine::new).collect();
-            Ok(jsonl(header, rows))
-        }
-        Command::Simplify => {
-            let report = store.simplify()?;
-            Ok(serde_json::to_string(&SimplifyLine {
-                event: "simplify".to_string(),
-                dominated: report.dominated_predicates.len(),
-                unsatisfiable: report.unsatisfiable_rules.len(),
-                subsumed: report.subsumed_rules.len(),
-                rules: store.session().function().n_rules(),
-            })
-            .expect("SimplifyLine serializes"))
-        }
-        Command::Optimize(algo) => {
-            store.optimize(*algo)?;
-            Ok(serde_json::to_string(&OptimizeLine {
-                event: "optimize".to_string(),
-                algo: algo.label().to_string(),
-                matches: store.session().n_matches(),
-            })
-            .expect("OptimizeLine serializes"))
-        }
-        Command::ListRules => {
-            let session = store.session();
-            #[derive(serde::Serialize)]
-            struct Header {
-                event: String,
-                n_rules: usize,
-                n_predicates: usize,
-                matches: usize,
-            }
-            let header = serde_json::to_string(&Header {
-                event: "rules".to_string(),
-                n_rules: session.function().n_rules(),
-                n_predicates: session.function().n_predicates(),
-                matches: session.n_matches(),
-            })
-            .expect("header serializes");
-            let rows: Vec<RuleLine> = session
-                .function()
-                .rules()
-                .iter()
-                .map(|rule| {
-                    let preds: Vec<String> = rule
-                        .preds
-                        .iter()
-                        .map(|bp| {
-                            format!(
-                                "{} {} {}",
-                                session.context().feature_name(bp.pred.feature),
-                                bp.pred.op,
-                                bp.pred.threshold
-                            )
-                        })
-                        .collect();
-                    RuleLine {
-                        event: "rule".to_string(),
-                        id: rule.id.to_string(),
-                        text: preds.join(" AND "),
-                    }
-                })
-                .collect();
-            Ok(jsonl(header, rows))
-        }
-        Command::Matches(limit) => {
-            let shown: Vec<usize> = store
-                .session()
-                .matches()
-                .iter()
-                .take(*limit)
-                .copied()
-                .collect();
-            let total = store.session().matches().len();
-            let header = serde_json::to_string(&MatchesLine {
-                event: "matches".to_string(),
-                total,
-                shown: shown.len(),
-            })
-            .expect("MatchesLine serializes");
-            let rows: Vec<MatchLine> = shown
-                .into_iter()
-                .map(|i| {
-                    let (a, b) = ids_of(store, i);
-                    MatchLine {
-                        event: "match".to_string(),
-                        pair: i,
-                        rule: store.session().state().fired_rule(i).map(|r| r.to_string()),
-                        a,
-                        b,
-                    }
-                })
-                .collect();
-            Ok(jsonl(header, rows))
-        }
-        Command::Explain(i) => {
-            if *i >= store.session().candidates().len() {
-                return Err(ServerError::BadRequest(format!(
-                    "pair index {i} out of range (0..{})",
-                    store.session().candidates().len()
-                )));
-            }
-            Ok(text(store.session().explain(*i).to_string()))
-        }
-        Command::NearMisses(fid, n) => {
-            if fid.index() >= store.session().context().registry().len() {
-                return Err(ServerError::BadRequest(format!(
-                    "unknown feature {fid}; see `features`"
-                )));
-            }
-            let misses = store.session_mut().near_misses(*fid, *n);
-            let name = store.session().context().feature_name(*fid);
-            #[derive(serde::Serialize)]
-            struct Header {
-                event: String,
-                feature: String,
-                count: usize,
-            }
-            let header = serde_json::to_string(&Header {
-                event: "near_misses".to_string(),
-                feature: name,
-                count: misses.len(),
-            })
-            .expect("header serializes");
-            let rows: Vec<MissLine> = misses
-                .into_iter()
-                .map(|(i, v)| {
-                    let (a, b) = ids_of(store, i);
-                    MissLine {
-                        event: "miss".to_string(),
-                        pair: i,
-                        value: v,
-                        a,
-                        b,
-                    }
-                })
-                .collect();
-            Ok(jsonl(header, rows))
-        }
-        Command::Quality => {
-            if labels.is_empty() {
-                return Ok(text("no labels loaded"));
-            }
-            let q = store.session().quality(labels);
-            Ok(serde_json::to_string(&QualityLine {
-                event: "quality".to_string(),
-                precision: q.precision(),
-                recall: q.recall(),
-                f1: q.f1(),
-                true_positives: q.true_positives,
-                false_positives: q.false_positives,
-                false_negatives: q.false_negatives,
-                true_negatives: q.true_negatives,
-            })
-            .expect("QualityLine serializes"))
-        }
-        Command::Stats => {
-            if store.session().function().is_empty() {
-                return Ok(text("(no rules — nothing to estimate)"));
-            }
-            // Cache the sampled stats on the session so later `explain`
-            // responses carry per-predicate cost annotations.
-            let stats = store.session_mut().refresh_stats();
-            let session = store.session();
-            let mut out = String::from("feature costs (ns/eval):");
-            for f in session.function().features() {
-                out.push_str(&format!(
-                    "\n  {:<40} {:>12.0}",
-                    session.context().feature_name(f),
-                    stats.cost(f)
-                ));
-            }
-            out.push_str(&format!("\nmemo lookup δ: {:.0} ns", stats.lookup_cost()));
-            out.push_str("\npredicate selectivities:");
-            for (rid, bp) in session.function().predicates() {
-                out.push_str(&format!(
-                    "\n  {rid}/{} sel = {:.4}",
-                    bp.id,
-                    stats.sel(bp.id)
-                ));
-            }
-            Ok(text(out))
-        }
-        Command::Status => {
-            // The full status line (role, lag, degraded state) is
-            // assembled by the session manager, which owns that context;
-            // this level reports the store's own disk footprint.
-            let (store_bytes, journal_bytes) = store.usage();
-            #[derive(serde::Serialize)]
-            struct StoreStatus {
-                event: String,
-                epoch: Option<u64>,
-                journal_records: usize,
-                store_bytes: u64,
-                journal_bytes: u64,
-                disk_free: Option<u64>,
-            }
-            Ok(serde_json::to_string(&StoreStatus {
-                event: "status".to_string(),
-                epoch: store.epoch(),
-                journal_records: store.records_since_save(),
-                store_bytes,
-                journal_bytes,
-                disk_free: store.store_dir().and_then(em_core::disk_free),
-            })
-            .expect("StoreStatus serializes"))
-        }
-        Command::MemoryReport => {
-            let m = store.session().memory_report();
-            Ok(serde_json::to_string(&MemoryLine {
-                event: "memory".to_string(),
-                memo_bytes: m.memo_bytes,
-                memo_values: {
-                    use em_core::Memo;
-                    store.session().state().memo.stored()
-                },
-                bitmap_bytes: m.bitmap_bytes,
-                total_bytes: m.total_bytes(),
-            })
-            .expect("MemoryLine serializes"))
-        }
-        Command::History => {
-            let rows: Vec<HistoryLine> = store
-                .session()
-                .history()
-                .iter()
-                .enumerate()
-                .map(|(i, e)| HistoryLine::new(i + 1, e))
-                .collect();
-            #[derive(serde::Serialize)]
-            struct Header {
-                event: String,
-                total: usize,
-            }
-            let header = serde_json::to_string(&Header {
-                event: "history".to_string(),
-                total: rows.len(),
-            })
-            .expect("header serializes");
-            Ok(jsonl(header, rows))
-        }
-        Command::Features => {
-            let session = store.session();
-            let rows: Vec<FeatureLine> = session
-                .context()
-                .registry()
-                .iter()
-                .map(|(fid, _)| FeatureLine {
-                    event: "feature".to_string(),
-                    id: fid.to_string(),
-                    name: session.context().feature_name(fid),
-                })
-                .collect();
-            #[derive(serde::Serialize)]
-            struct Header {
-                event: String,
-                total: usize,
-            }
-            let header = serde_json::to_string(&Header {
-                event: "features".to_string(),
-                total: rows.len(),
-            })
-            .expect("header serializes");
-            Ok(jsonl(header, rows))
-        }
-        Command::Save(None) => {
-            if store.store_dir().is_none() {
-                return Err(ServerError::Unsupported(
-                    "this session is ephemeral (server started without --store-root)".to_string(),
-                ));
-            }
-            let epoch = store.save()?;
-            Ok(serde_json::to_string(&SavedLine {
-                event: "saved".to_string(),
-                epoch,
-            })
-            .expect("SavedLine serializes"))
+    let refusal = match cmd {
+        Command::Save(None) if store.store_dir().is_none() => {
+            "this session is ephemeral (server started without --store-root)"
         }
         Command::Save(Some(_))
         | Command::Load(_)
         | Command::Export(_)
         | Command::Import(_)
-        | Command::Open(_) => Err(ServerError::Unsupported(
-            "file-path commands run on the server's filesystem; use the CLI locally".to_string(),
-        )),
-        Command::Quit => Err(ServerError::Unsupported(
-            "quit closes the connection (handled by the server loop)".to_string(),
-        )),
-    }
+        | Command::Open(_) => {
+            "file-path commands run on the server's filesystem; use the CLI locally"
+        }
+        Command::Quit => "quit closes the connection (handled by the server loop)",
+        _ => {
+            let outcome = command::execute(store, labels, cmd)?;
+            return Ok(render(store, &outcome));
+        }
+    };
+    Err(ServerError::Unsupported(refusal.to_string()))
 }

@@ -12,8 +12,9 @@
 //!   named [`SessionStore`](em_core::SessionStore)-backed sessions
 //!   behind per-session locks, LRU eviction-to-snapshot, and lazy
 //!   journal-replay recovery on `attach`;
-//! * [`exec`] — grammar commands rendered as machine-readable JSON
-//!   (edits as [`em_core::ChangeLine`], listings as JSONL);
+//! * [`exec`] — grammar commands run by the shared executor
+//!   ([`em_core::command::execute`]) and rendered as porcelain JSON
+//!   ([`em_core::porcelain::render`]); file-path verbs are refused;
 //! * [`server`] — accept loop, admission control (connection cap with
 //!   fast `busy` refusal), and the per-command disconnect watchdog that
 //!   cancels an edit whose client vanished;

@@ -440,8 +440,14 @@ impl SessionManager {
     /// mutation first probes the store directory with a tiny
     /// write+fsync; the first probe that succeeds (space freed, disk
     /// replaced) flips the session healthy again and the command runs.
+    ///
+    /// `status` answers with the same record as the wire's `status` verb
+    /// ([`SessionManager::status_json`]).
     pub fn execute(&self, name: &str, cmd: &Command) -> Result<String, ServerError> {
-        let mutating = exec::mutates(cmd);
+        if matches!(cmd, Command::Status) {
+            return self.status_json(name);
+        }
+        let mutating = cmd.mutates();
         if mutating {
             if let Some(op) = self.degraded_op(name) {
                 let recovered = self.with_session(name, |store, _| store.probe_write().is_ok())?;

@@ -22,7 +22,6 @@
 
 use crate::admission::{AdmissionConfig, AdmissionQueue, ConnQueue};
 use crate::error::ServerError;
-use crate::exec;
 use crate::manager::{Role, SessionManager, SessionTemplate};
 use crate::proto::{self, Request, MAX_LINE};
 use crate::replica::{FollowerOpts, Replicator};
@@ -179,7 +178,10 @@ pub fn serve(template: SessionTemplate, config: ServerConfig) -> std::io::Result
     // deployment the exposition and `status` read the SAME Arcs, so the
     // two surfaces cannot disagree; in-process test fleets each keep
     // their own counters and the registry shows the last server's).
+    // The core families register here too, not on the first evaluation,
+    // so a scrape of a fresh server already lists every family.
     crate::obs::server_metrics();
+    em_core::obs::core_metrics();
     {
         use em_metrics::Instrument;
         let reg = em_metrics::registry();
@@ -443,7 +445,7 @@ fn handle_connection(
             return;
         }
         let verb = request.verb();
-        let is_edit = matches!(&request, Request::Cmd(cmd) if exec::mutates(cmd));
+        let is_edit = matches!(&request, Request::Cmd(cmd) if cmd.mutates());
         let t0 = std::time::Instant::now();
         let result = dispatch(manager, &mut attached, &writer, queue, shutdown, request);
         let elapsed = t0.elapsed();
@@ -487,7 +489,7 @@ fn dispatch(
     if let Role::Follower { leader } = manager.role() {
         let mutating = match &request {
             Request::Open(_) | Request::Deadline(_) => true,
-            Request::Cmd(cmd) => exec::mutates(cmd),
+            Request::Cmd(cmd) => cmd.mutates(),
             _ => false,
         };
         if mutating {

@@ -9,6 +9,7 @@
 use em_core::{
     Command, DiskFault, DiskFaultPlan, DiskOp, FaultVfs, PersistError, SessionConfig, SessionError,
 };
+use em_server::exec::StatusLine;
 use em_server::{ServerError, SessionManager, SessionTemplate};
 use em_types::{CandidateSet, Record, Schema, Table};
 use std::sync::Arc;
@@ -156,6 +157,10 @@ fn reads_never_trip_the_probe() {
             .execute("bob", &cmd)
             .unwrap_or_else(|e| panic!("{cmd:?} must serve while degraded: {e}"));
     }
+    // In-process `status` answers with the wire's status record.
+    let status = manager.execute("bob", &Command::Status).unwrap();
+    let status: StatusLine = serde_json::from_str(&status).unwrap();
+    assert_eq!(status.degraded.as_deref(), Some("journal-append"));
     // Only the original journal-append fault fired; no probe ran.
     assert_eq!(plan.faults_fired(), 1);
     let _ = std::fs::remove_dir_all(&root);

@@ -19,7 +19,7 @@ use em_core::{ChangeLine, SessionConfig};
 use em_datagen::Domain;
 use em_metrics::Instrument;
 use em_server::{run_load, serve, Client, ServerConfig, ServerHandle, SessionTemplate};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 static GLOBAL_REGISTRY: Mutex<()> = Mutex::new(());
 
@@ -41,7 +41,9 @@ fn serve_ephemeral() -> ServerHandle {
 /// wire surface and the metrics surface describe the same evaluation.
 #[test]
 fn memo_counters_match_change_report_sums() {
-    let _guard = GLOBAL_REGISTRY.lock().unwrap();
+    let _guard = GLOBAL_REGISTRY
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     em_metrics::set_enabled(true);
     let handle = serve_ephemeral();
     let mut c = Client::connect(handle.addr()).unwrap();
@@ -89,7 +91,9 @@ fn memo_counters_match_change_report_sums() {
 /// handle shows up in the next `status` response, byte-for-byte.
 #[test]
 fn status_shed_reads_the_registered_counter() {
-    let _guard = GLOBAL_REGISTRY.lock().unwrap();
+    let _guard = GLOBAL_REGISTRY
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     em_metrics::set_enabled(true);
     // `serve` (re-)registers this server's admission counters; with the
     // mutex held no other server can replace them mid-test.
@@ -128,7 +132,9 @@ fn status_shed_reads_the_registered_counter() {
 /// leader's `replicas` verb reports an empty follower table.
 #[test]
 fn metrics_and_replicas_verbs_respond_in_porcelain() {
-    let _guard = GLOBAL_REGISTRY.lock().unwrap();
+    let _guard = GLOBAL_REGISTRY
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     em_metrics::set_enabled(true);
     let handle = serve_ephemeral();
     let mut c = Client::connect(handle.addr()).unwrap();
@@ -167,7 +173,9 @@ fn metrics_and_replicas_verbs_respond_in_porcelain() {
 /// output fails the validator and therefore this test.
 #[test]
 fn scrapes_stay_well_formed_under_16_client_load() {
-    let _guard = GLOBAL_REGISTRY.lock().unwrap();
+    let _guard = GLOBAL_REGISTRY
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     em_metrics::set_enabled(true);
     let handle = serve(
         demo_template(),
